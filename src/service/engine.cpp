@@ -1,5 +1,9 @@
 #include "service/engine.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <condition_variable>
 #include <sstream>
 #include <stdexcept>
@@ -75,11 +79,17 @@ struct SweepService::InFlight {
 
 namespace {
 
-ExperimentSpec parse_items(const std::vector<std::string>& items) {
-  ExperimentSpec spec;
-  for (const std::string& item : items) spec.apply_kv_line(item);
-  spec.finalize();
-  return spec;
+/// The report skeleton of one point `cfg` of `spec`: label, load and
+/// both cache keys, from a single canonical pass.
+PointReport describe_point(const ExperimentSpec& spec, const SimConfig& cfg) {
+  SimConfig::CanonicalHashes ids = cfg.canonical_hashes();
+  const std::string replicas = ":s" + std::to_string(spec.seeds);
+  PointReport pr;
+  pr.label = spec.label;
+  pr.offered_load = cfg.load;
+  pr.hash = std::move(ids.hash) + replicas;
+  pr.warm_hash = std::move(ids.warm_hash) + replicas;
+  return pr;
 }
 
 }  // namespace
@@ -92,6 +102,17 @@ SweepService::SweepService(ServiceOptions opts)
 
 SweepService::~SweepService() = default;
 
+SweepService::ReleaseFreedMemory::~ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  // glibc keeps freed memory in the per-thread arena it came from. The
+  // caches (up to warm_bytes of checkpoints) and the simulations are
+  // allocated on pool threads, so a process that creates and drops
+  // services would otherwise keep each service's peak resident in every
+  // arena its short-lived threads have used.
+  malloc_trim(0);
+#endif
+}
+
 std::string SweepService::point_hash(const SimConfig& cfg, int seeds) {
   return cfg.canonical_hash() + ":s" + std::to_string(seeds);
 }
@@ -100,12 +121,19 @@ std::string SweepService::point_warm_hash(const SimConfig& cfg, int seeds) {
   return cfg.warm_hash() + ":s" + std::to_string(seeds);
 }
 
+ExperimentSpec SweepService::parse(const std::vector<std::string>& items) {
+  ExperimentSpec spec;
+  for (const std::string& item : items) spec.apply_kv_line(item);
+  spec.finalize();
+  return spec;
+}
+
 RequestReport SweepService::describe(
     const std::vector<std::string>& items) const {
   RequestReport rep;
   ExperimentSpec spec;
   try {
-    spec = parse_items(items);
+    spec = parse(items);
   } catch (const std::exception& e) {
     rep.error = e.what();
     return rep;
@@ -113,30 +141,34 @@ RequestReport SweepService::describe(
   for (const double load : spec.effective_loads()) {
     SimConfig cfg = spec.base;
     cfg.load = load;
-    PointReport pr;
-    pr.label = spec.label;
-    pr.offered_load = load;
-    pr.hash = point_hash(cfg, spec.seeds);
-    pr.warm_hash = point_warm_hash(cfg, spec.seeds);
-    rep.points.push_back(std::move(pr));
+    rep.points.push_back(describe_point(spec, cfg));
   }
+  return rep;
+}
+
+RequestReport SweepService::reject(std::string error) {
+  RequestReport rep;
+  rep.error = std::move(error);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.requests;
+  ++counters_.errors;
   return rep;
 }
 
 RequestReport SweepService::execute(const std::vector<std::string>& items,
                                     RunObserver* observer) {
-  RequestReport rep;
   ExperimentSpec spec;
   try {
-    spec = parse_items(items);
+    spec = parse(items);
   } catch (const std::exception& e) {
-    rep.error = e.what();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests;
-    ++counters_.errors;
-    return rep;
+    return reject(e.what());
   }
+  return execute_parsed(spec, observer);
+}
 
+RequestReport SweepService::execute_parsed(const ExperimentSpec& spec,
+                                           RunObserver* observer) {
+  RequestReport rep;
   const std::vector<double> loads = spec.effective_loads();
   rep.points.resize(loads.size());
 
@@ -151,10 +183,7 @@ RequestReport SweepService::execute(const std::vector<std::string>& items,
     SimConfig cfg = spec.base;
     cfg.load = loads[i];
     PointReport& pr = rep.points[i];
-    pr.label = spec.label;
-    pr.offered_load = loads[i];
-    pr.hash = point_hash(cfg, spec.seeds);
-    pr.warm_hash = point_warm_hash(cfg, spec.seeds);
+    pr = describe_point(spec, cfg);
 
     if (const auto cached = results_.get(pr.hash)) {
       pr.source = PointSource::kHit;

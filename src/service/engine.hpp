@@ -33,6 +33,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
+#include "core/spec.hpp"
 #include "service/cache.hpp"
 #include "topology/topology_cache.hpp"
 
@@ -107,6 +108,17 @@ class SweepService {
   RequestReport execute(const std::vector<std::string>& items,
                         RunObserver* observer = nullptr);
 
+  /// execute() of a request already parsed by parse().
+  RequestReport execute_parsed(const ExperimentSpec& spec,
+                               RunObserver* observer = nullptr);
+
+  /// Parse request items into a finalized spec; throws on bad input.
+  static ExperimentSpec parse(const std::vector<std::string>& items);
+
+  /// Count a request whose items failed to parse, as execute() does,
+  /// and return its error report.
+  RequestReport reject(std::string error);
+
   /// Expand a request into (hash, warm_hash, label, load) tuples
   /// without executing anything — the HASH protocol verb.
   RequestReport describe(const std::vector<std::string>& items) const;
@@ -122,9 +134,20 @@ class SweepService {
  private:
   struct InFlight;
 
+  /// Hands freed heap pages back to the OS on destruction. Declared
+  /// first so it is destroyed last, after the pool has joined and every
+  /// cache is freed.
+  struct ReleaseFreedMemory {
+    ReleaseFreedMemory() = default;
+    ReleaseFreedMemory(const ReleaseFreedMemory&) = delete;
+    ReleaseFreedMemory& operator=(const ReleaseFreedMemory&) = delete;
+    ~ReleaseFreedMemory();
+  };
+
   void run_point(InFlight* flight);
   void finish_point(InFlight* flight);
 
+  ReleaseFreedMemory release_;
   ServiceOptions opts_;
   LruCache<AveragedResult> results_;
   LruCache<std::vector<std::string>> warm_;  ///< per-replica checkpoints

@@ -1,6 +1,7 @@
 #include "service/server.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,26 +19,64 @@ namespace {
 /// RunObserver streaming a connection's subscribed samples as SAMPLE
 /// lines. on_sample fires from simulating threads; the send callback
 /// (SweepServer::send_line) serializes against other writers on the
-/// same socket. Labels are resolved per point index up front so the
-/// hot path does no service lookups.
+/// same socket. Every point of one request carries the spec's label.
 class SampleStreamer final : public RunObserver {
  public:
   using Send = std::function<bool(const std::string&)>;
 
-  SampleStreamer(std::vector<std::string> labels, Send send)
-      : labels_(std::move(labels)), send_(std::move(send)) {}
+  SampleStreamer(std::string label, Send send)
+      : label_(std::move(label)), send_(std::move(send)) {}
 
   void on_sample(std::size_t config_index, std::size_t seed_index,
                  const StreamSample& sample) override {
-    const std::string& label =
-        config_index < labels_.size() ? labels_[config_index] : labels_.back();
-    send_(protocol::format_sample(label, config_index, seed_index, sample));
+    send_(protocol::format_sample(label_, config_index, seed_index, sample));
   }
 
  private:
-  std::vector<std::string> labels_;
+  std::string label_;
   Send send_;
 };
+
+/// Append one protocol line and its newline to a reply buffer.
+void add_line(std::string& reply, const std::string& line) {
+  reply += line;
+  reply += '\n';
+}
+
+/// A whole HASH reply: one HASH line per point and DONE, or one ERR.
+std::string hash_reply(const RequestReport& rep) {
+  std::string out;
+  if (!rep.error.empty()) {
+    add_line(out, protocol::format_error(rep.error));
+    return out;
+  }
+  for (const PointReport& p : rep.points) {
+    add_line(out, protocol::format_hash(p));
+  }
+  add_line(out, protocol::format_done(rep));
+  return out;
+}
+
+/// A whole RUN/STREAM reply: one RESULT line per point and DONE. A
+/// request error is one ERR; a failed point ends the reply with ERR.
+std::string run_reply(const RequestReport& rep) {
+  std::string out;
+  if (!rep.error.empty()) {
+    add_line(out, protocol::format_error(rep.error));
+    return out;
+  }
+  for (const PointReport& p : rep.points) {
+    if (!p.error.empty()) {
+      add_line(out, protocol::format_error("point " + p.label + " @" +
+                                           std::to_string(p.offered_load) +
+                                           ": " + p.error));
+      return out;
+    }
+    add_line(out, protocol::format_result(p));
+  }
+  add_line(out, protocol::format_done(rep));
+  return out;
+}
 
 }  // namespace
 
@@ -82,6 +121,12 @@ void SweepServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener closed or unrecoverable
     }
+    // One write per reply is not enough on its own: Nagle's algorithm
+    // holds a write's last partial segment while earlier bytes are
+    // unacknowledged (a SAMPLE just streamed, a reply longer than one
+    // segment), and the client's delayed ACK then costs 40 ms.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();
@@ -113,6 +158,12 @@ void SweepServer::handle_connection(Connection* conn) {
       if (stopping_.load()) break;
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestLine) {
+      send_line(conn, protocol::format_error(
+                          "request line exceeds " +
+                          std::to_string(kMaxRequestLine) + " bytes"));
+      break;
+    }
     // A QUIT closes our side; recv() then returns 0 and the loop ends.
   }
   ::shutdown(conn->fd, SHUT_RDWR);
@@ -142,59 +193,42 @@ void SweepServer::handle_line(Connection* conn, const std::string& line) {
     case protocol::Verb::kStats:
       send_line(conn, protocol::format_stats(service_.stats()));
       return;
-    case protocol::Verb::kHash: {
-      const RequestReport rep = service_.describe(req.items);
-      if (!rep.error.empty()) {
-        send_line(conn, protocol::format_error(rep.error));
-        return;
-      }
-      for (const PointReport& p : rep.points) {
-        send_line(conn, protocol::format_hash(p));
-      }
-      send_line(conn, protocol::format_done(rep));
+    case protocol::Verb::kHash:
+      send_all(conn, hash_reply(service_.describe(req.items)));
       return;
-    }
     case protocol::Verb::kRun:
     case protocol::Verb::kStream: {
-      std::unique_ptr<SampleStreamer> streamer;
-      if (req.verb == protocol::Verb::kStream) {
-        const RequestReport shape = service_.describe(req.items);
-        if (shape.error.empty()) {
-          std::vector<std::string> labels;
-          for (const PointReport& p : shape.points) labels.push_back(p.label);
-          streamer = std::make_unique<SampleStreamer>(
-              std::move(labels),
-              [this, conn](const std::string& s) { return send_line(conn, s); });
-        }
-      }
-      const RequestReport rep = service_.execute(req.items, streamer.get());
-      if (!rep.error.empty()) {
-        send_line(conn, protocol::format_error(rep.error));
+      ExperimentSpec spec;
+      try {
+        spec = SweepService::parse(req.items);
+      } catch (const std::exception& e) {
+        send_all(conn, run_reply(service_.reject(e.what())));
         return;
       }
-      for (const PointReport& p : rep.points) {
-        if (!p.error.empty()) {
-          send_line(conn, protocol::format_error(
-                              "point " + p.label + " @" +
-                              std::to_string(p.offered_load) + ": " + p.error));
-          return;
-        }
-        send_line(conn, protocol::format_result(p));
+      std::unique_ptr<SampleStreamer> streamer;
+      if (req.verb == protocol::Verb::kStream) {
+        streamer = std::make_unique<SampleStreamer>(
+            spec.label,
+            [this, conn](const std::string& s) { return send_line(conn, s); });
       }
-      send_line(conn, protocol::format_done(rep));
+      send_all(conn, run_reply(service_.execute_parsed(spec, streamer.get())));
       return;
     }
   }
 }
 
 bool SweepServer::send_line(Connection* conn, const std::string& line) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
   std::string out = line;
   out += '\n';
+  return send_all(conn, out);
+}
+
+bool SweepServer::send_all(Connection* conn, const std::string& bytes) {
+  std::lock_guard<std::mutex> lock(conn->write_mu);
   std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t n = ::send(conn->fd, out.data() + sent, out.size() - sent,
-                             MSG_NOSIGNAL);
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(conn->fd, bytes.data() + sent,
+                             bytes.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }

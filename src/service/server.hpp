@@ -29,6 +29,10 @@ class SweepServer {
   SweepServer(const SweepServer&) = delete;
   SweepServer& operator=(const SweepServer&) = delete;
 
+  /// Longest request line a connection may hold without a newline; a
+  /// longer one is answered with ERR and the connection is closed.
+  static constexpr std::size_t kMaxRequestLine = 1 << 20;
+
   /// The bound port (the resolved one when constructed with 0).
   std::uint16_t port() const { return port_; }
 
@@ -49,7 +53,11 @@ class SweepServer {
   void accept_loop();
   void handle_connection(Connection* conn);
   void handle_line(Connection* conn, const std::string& line);
+  /// One protocol line (a streamed SAMPLE or a one-line reply).
   bool send_line(Connection* conn, const std::string& line);
+  /// Write `bytes` whole under the connection's write lock, so a reply
+  /// built in one buffer never interleaves with SAMPLE lines.
+  bool send_all(Connection* conn, const std::string& bytes);
 
   SweepService& service_;
   int listen_fd_ = -1;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/checkpoint.hpp"
 #include "router/packet.hpp"
@@ -919,7 +921,8 @@ std::string canon_phases(const std::vector<ScriptedSegment>& script) {
 /// dragonfly fields not-applicable.
 struct CanonEntry {
   const char* key;
-  std::string (*value)(const SimConfig&);
+  std::string (*value)(const SimConfig&);  ///< null for the shape fields
+  int TopologyShape::*shape_field = nullptr;  ///< h/p/a/groups only
 };
 
 std::optional<TopologyShape> canon_shape(const SimConfig& c) {
@@ -947,30 +950,10 @@ const CanonEntry kCanonEntries[] = {
        return family == "dfly" ? std::string("dfly")
                                : (c.topology.empty() ? family : c.topology);
      }},
-    {"h",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->global_slots))
-                    : std::string("-");
-     }},
-    {"p",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->p))
-                    : std::string("-");
-     }},
-    {"a",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->a))
-                    : std::string("-");
-     }},
-    {"groups",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->groups))
-                    : std::string("-");
-     }},
+    {"h", nullptr, &TopologyShape::global_slots},
+    {"p", nullptr, &TopologyShape::p},
+    {"a", nullptr, &TopologyShape::a},
+    {"groups", nullptr, &TopologyShape::groups},
     {"arrangement", [](const SimConfig& c) { return c.arrangement; }},
     {"routing", [](const SimConfig& c) { return c.routing_key(); }},
     {"traffic", [](const SimConfig& c) { return c.traffic_key(); }},
@@ -1158,7 +1141,68 @@ constexpr const char* kRefinementKeys[] = {
     "sim.paranoid",
 };
 
-std::uint64_t fnv1a64(std::uint64_t h, const std::string& s) {
+/// One kv-table key in canonical order: its serializer and whether
+/// warm_hash() skips it.
+struct CanonSlot {
+  const CanonEntry* entry;
+  bool refinement;
+};
+
+/// The kv table mapped onto kCanonEntries and sorted by key, built once.
+/// Driven by the kv table, not by kCanonEntries, so a knob added to
+/// kKvEntries without a canonical serializer fails loudly here — the
+/// silent-cache-poisoning guard (a knob that changes results but not
+/// the hash would alias distinct configs onto one cache entry). A
+/// throwing initializer leaves the static unset, so the check re-runs
+/// (and throws) on every call.
+const std::vector<CanonSlot>& canon_order() {
+  static const std::vector<CanonSlot> order = [] {
+    std::vector<CanonSlot> slots;
+    slots.reserve(std::size(kKvEntries));
+    for (const KvEntry& entry : kKvEntries) {
+      const CanonEntry* canon =
+          std::find_if(std::begin(kCanonEntries), std::end(kCanonEntries),
+                       [&](const CanonEntry& c) {
+                         return std::strcmp(c.key, entry.key) == 0;
+                       });
+      if (canon == std::end(kCanonEntries)) {
+        throw std::logic_error(std::string("config key \"") + entry.key +
+                               "\" has no canonical serializer — add it to "
+                               "kCanonEntries so the result cache can key on "
+                               "it");
+      }
+      slots.push_back({canon, SimConfig::refinement_key(entry.key)});
+    }
+    std::sort(slots.begin(), slots.end(),
+              [](const CanonSlot& x, const CanonSlot& y) {
+                return std::strcmp(x.entry->key, y.entry->key) < 0;
+              });
+    return slots;
+  }();
+  return order;
+}
+
+/// Visit (slot, canonical value) for every kv key of `c` in key order.
+/// The topology shape is resolved once and shared by h/p/a/groups.
+template <class Visit>
+void visit_canonical(const SimConfig& c, Visit&& visit) {
+  const std::vector<CanonSlot>& order = canon_order();
+  const std::optional<TopologyShape> shape = canon_shape(c);
+  for (const CanonSlot& slot : order) {
+    const CanonEntry& e = *slot.entry;
+    if (e.shape_field == nullptr) {
+      visit(slot, e.value(c));
+    } else {
+      visit(slot, shape ? canon_num(static_cast<std::int64_t>(
+                              (*shape).*e.shape_field))
+                        : std::string("-"));
+    }
+  }
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+std::uint64_t fnv1a64(std::uint64_t h, std::string_view s) {
   for (const char c : s) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 1099511628211ull;
@@ -1166,17 +1210,16 @@ std::uint64_t fnv1a64(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-std::string hash_entries(
-    const std::vector<std::pair<std::string, std::string>>& entries,
-    bool skip_refinement) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& [key, value] : entries) {
-    if (skip_refinement && SimConfig::refinement_key(key)) continue;
-    h = fnv1a64(h, key);
-    h = fnv1a64(h, "=");
-    h = fnv1a64(h, value);
-    h = fnv1a64(h, "\n");
-  }
+/// Fold one "key=value\n" canonical line into an FNV-1a state.
+std::uint64_t fold_entry(std::uint64_t h, std::string_view key,
+                         std::string_view value) {
+  h = fnv1a64(h, key);
+  h = fnv1a64(h, "=");
+  h = fnv1a64(h, value);
+  return fnv1a64(h, "\n");
+}
+
+std::string hex16(std::uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
@@ -1254,34 +1297,16 @@ SimConfig::kv_key_descriptions() {
 
 std::vector<std::pair<std::string, std::string>> SimConfig::canonical_kv()
     const {
-  // Driven by the kv table, not by kCanonEntries, so a knob added to
-  // kKvEntries without a canonical serializer fails loudly here — the
-  // silent-cache-poisoning guard (a knob that changes results but not
-  // the hash would alias distinct configs onto one cache entry).
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(std::size(kKvEntries));
-  for (const KvEntry& entry : kKvEntries) {
-    const CanonEntry* canon = nullptr;
-    for (const CanonEntry& c : kCanonEntries) {
-      if (std::string(c.key) == entry.key) {
-        canon = &c;
-        break;
-      }
-    }
-    if (canon == nullptr) {
-      throw std::logic_error(std::string("config key \"") + entry.key +
-                             "\" has no canonical serializer — add it to "
-                             "kCanonEntries so the result cache can key on "
-                             "it");
-    }
-    out.emplace_back(entry.key, canon->value(*this));
-  }
-  std::sort(out.begin(), out.end());
+  visit_canonical(*this, [&](const CanonSlot& slot, std::string value) {
+    out.emplace_back(slot.entry->key, std::move(value));
+  });
   return out;
 }
 
 std::string SimConfig::canonical_hash() const {
-  return hash_entries(canonical_kv(), /*skip_refinement=*/false);
+  return canonical_hashes().hash;
 }
 
 bool SimConfig::refinement_key(const std::string& key) {
@@ -1292,7 +1317,19 @@ bool SimConfig::refinement_key(const std::string& key) {
 }
 
 std::string SimConfig::warm_hash() const {
-  return hash_entries(canonical_kv(), /*skip_refinement=*/true);
+  return canonical_hashes().warm_hash;
+}
+
+SimConfig::CanonicalHashes SimConfig::canonical_hashes() const {
+  // One canonical pass feeds both FNV-1a states; the warm one skips the
+  // refinement keys.
+  std::uint64_t full = kFnvOffset;
+  std::uint64_t warm = kFnvOffset;
+  visit_canonical(*this, [&](const CanonSlot& slot, const std::string& value) {
+    full = fold_entry(full, slot.entry->key, value);
+    if (!slot.refinement) warm = fold_entry(warm, slot.entry->key, value);
+  });
+  return {hex16(full), hex16(warm)};
 }
 
 std::string SimConfig::warm_incompatibility(const SimConfig& refined) const {

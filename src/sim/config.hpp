@@ -321,6 +321,14 @@ struct SimConfig {
   /// share the same warmed-up network state bit-for-bit.
   std::string warm_hash() const;
 
+  struct CanonicalHashes {
+    std::string hash;       ///< canonical_hash()
+    std::string warm_hash;  ///< warm_hash()
+  };
+  /// canonical_hash() and warm_hash() from a single canonical pass —
+  /// the pair the sweep service keys every point on.
+  CanonicalHashes canonical_hashes() const;
+
   /// "" when `refined` may warm-start from a checkpoint of *this*
   /// config; otherwise a diagnostic naming the first incompatible knob
   /// and both values.

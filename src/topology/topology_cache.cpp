@@ -20,22 +20,39 @@ std::string topology_cache_key(const SimConfig& cfg) {
 
 std::shared_ptr<const Topology> TopologyCache::acquire(const SimConfig& cfg) {
   const std::string key = topology_cache_key(cfg);
+  std::promise<std::shared_ptr<const Topology>> build;
+  Entry entry;
+  bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = map_.find(key);
     if (it != map_.end()) {
       ++hits_;
-      return it->second;
+      entry = it->second;
+    } else {
+      // The first acquire of a shape claims its build; concurrent
+      // acquires of the same shape wait on the entry instead of
+      // building a second copy.
+      ++misses_;
+      owner = true;
+      entry = build.get_future().share();
+      map_.emplace(key, entry);
     }
   }
-  // Build outside the lock: construction is the expensive part and two
-  // concurrent first-acquires of the same shape are rare; the second
-  // insert loses and adopts the first entry.
-  std::shared_ptr<const Topology> built = make_topology(cfg);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = map_.emplace(key, std::move(built));
-  ++misses_;
-  return it->second;
+  if (owner) {
+    // Build outside the lock: construction is the expensive part, and
+    // acquires of other shapes proceed meanwhile.
+    try {
+      build.set_value(make_topology(cfg));
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        map_.erase(key);  // the next acquire retries the build
+      }
+      build.set_exception(std::current_exception());
+    }
+  }
+  return entry.get();
 }
 
 TopologyCache::Stats TopologyCache::stats() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,8 +49,11 @@ class TopologyCache {
   static TopologyCache& process_cache();
 
  private:
+  /// A built topology, or one still being built by its first acquirer.
+  using Entry = std::shared_future<std::shared_ptr<const Topology>>;
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const Topology>> map_;
+  std::unordered_map<std::string, Entry> map_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };

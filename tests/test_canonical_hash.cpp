@@ -199,6 +199,57 @@ TEST(CanonicalHash, HashIsStableAcrossCopies) {
   EXPECT_EQ(a.canonical_hash(), a.canonical_hash());
 }
 
+/// The hash strings are observable (the service's HASH verb, cache keys
+/// a client may have stored), so their exact bytes are pinned here for
+/// one config per serializer family: the base dragonfly, a topology
+/// spec string, a churn mix list and a phase script.
+TEST(CanonicalHash, HashStringsArePinned) {
+  struct Row {
+    const char* name;
+    std::vector<std::pair<std::string, std::string>> knobs;
+    const char* hash;
+    const char* warm_hash;
+  };
+  const std::vector<Row> rows = {
+      {"base", {}, "326a7f419a92c55d", "f45872f45cd584d9"},
+      {"topology spec",
+       {{"topology", "dfly:2,4,2,5"}},
+       "3afebb4360fc9051",
+       "dff14b934996cdbd"},
+      {"churn mix",
+       {{"workload.mode", "churn"}, {"workload.mix", "uniform, ring,shift"}},
+       "98ab3aaf7f14a8ba",
+       "1bfba598582f79d6"},
+      {"phase script",
+       {{"phases", "ramp:100@load=0.5,hot:200@traffic=advc"}},
+       "f1fbcce2efc19b27",
+       "92599df1acc210a7"},
+  };
+  for (const Row& row : rows) {
+    SimConfig cfg = base_config();
+    for (const auto& [key, value] : row.knobs) {
+      ASSERT_TRUE(cfg.try_apply_kv(key, value)) << row.name << ": " << key;
+    }
+    EXPECT_EQ(cfg.canonical_hash(), row.hash) << row.name;
+    EXPECT_EQ(cfg.warm_hash(), row.warm_hash) << row.name;
+  }
+}
+
+/// canonical_hashes() is the service's one-pass form of the two hashes.
+TEST(CanonicalHash, CombinedCallMatchesTheSingleHashes) {
+  std::vector<SimConfig> configs = {base_config()};
+  for (const auto& [key, value] : perturbations()) {
+    SimConfig cfg = base_config();
+    ASSERT_TRUE(cfg.try_apply_kv(key, value)) << key;
+    configs.push_back(cfg);
+  }
+  for (const SimConfig& cfg : configs) {
+    const SimConfig::CanonicalHashes both = cfg.canonical_hashes();
+    EXPECT_EQ(both.hash, cfg.canonical_hash());
+    EXPECT_EQ(both.warm_hash, cfg.warm_hash());
+  }
+}
+
 // --- warm-start refinement keys ---------------------------------------------
 
 TEST(CanonicalHash, WarmHashIgnoresExactlyTheRefinementKeys) {

@@ -157,6 +157,29 @@ TEST(SweepService, SweepPointsShareOneTopology) {
   EXPECT_EQ(stats.topologies.hits, 2);
 }
 
+/// Concurrent first acquires of one shape build it once and share it.
+TEST(TopologyCache, ConcurrentFirstAcquiresBuildOnce) {
+  constexpr int kThreads = 8;
+  TopologyCache cache;
+  const SimConfig cfg = SimConfig::small(3);
+  std::vector<std::shared_ptr<const Topology>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = cache.acquire(cfg);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& topo : got) EXPECT_EQ(topo, got[0]);
+  const TopologyCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.live, 1u);
+}
+
 TEST(SweepService, ParseErrorsReportWithoutSimulating) {
   SweepService service(ServiceOptions{.workers = 1});
   const RequestReport rep = service.execute({"no_such_knob=1"});

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -43,6 +44,8 @@ class TestClient {
   ~TestClient() {
     if (fd_ >= 0) ::close(fd_);
   }
+
+  int fd() const { return fd_; }
 
   void send_line(const std::string& line) {
     const std::string out = line + "\n";
@@ -158,19 +161,91 @@ TEST(SweepServer, StreamInterleavesSamplesBeforeDone) {
   SweepServer server(service, 0);
   TestClient client(server.port());
 
-  client.send_line("STREAM " + small_request(0.2) + ";stream.interval=50");
+  client.send_line("STREAM " + small_request(0.2) +
+                   ";stream.interval=50;label=probe");
   const std::vector<std::string> reply = client.read_reply();
   ASSERT_GE(reply.size(), 3u);
   int samples = 0;
   int results = 0;
   for (const std::string& line : reply) {
-    if (line.rfind("SAMPLE ", 0) == 0) ++samples;
+    if (line.rfind("SAMPLE ", 0) == 0) {
+      ++samples;
+      // Every sample carries the request's label.
+      EXPECT_EQ(line.rfind("SAMPLE probe,0,0,", 0), 0u) << line;
+    }
     if (line.rfind("RESULT ", 0) == 0) ++results;
   }
   // 100 warmup + 200 measure at 50-cycle intervals.
   EXPECT_GE(samples, 4);
   EXPECT_EQ(results, 1);
   EXPECT_EQ(reply.back().rfind("DONE", 0), 0u);
+  server.stop();
+}
+
+/// A multi-line reply must not wait for the client's delayed ACK. The
+/// client keeps default socket options (Nagle on, no TCP_QUICKACK), as
+/// a plain `nc` or script client would. A reply written line by line
+/// without TCP_NODELAY stalls ~40 ms each, so 20 replies take >= 400 ms;
+/// written as one buffer they take a few milliseconds even under a
+/// sanitizer.
+TEST(SweepServer, MultiLineRepliesDoNotStall) {
+  SweepService service(ServiceOptions{.workers = 2});
+  SweepServer server(service, 0);
+  TestClient client(server.port());
+  client.send_line("RUN " + small_request(0.2));  // cache the point
+  ASSERT_EQ(client.read_reply().size(), 2u);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    client.send_line("HASH " + small_request(0.2) + ";loads=0.1,0.2,0.3");
+    const std::vector<std::string> reply = client.read_reply();
+    ASSERT_EQ(reply.size(), 4u);
+    for (int p = 0; p < 3; ++p) EXPECT_EQ(reply[p].rfind("HASH ", 0), 0u);
+    EXPECT_EQ(reply[3].rfind("DONE 3", 0), 0u);
+  }
+  for (int i = 0; i < 10; ++i) {
+    client.send_line("RUN " + small_request(0.2));
+    const std::vector<std::string> reply = client.read_reply();
+    ASSERT_EQ(reply.size(), 2u);
+    EXPECT_NE(reply[0].find(" hit "), std::string::npos) << reply[0];
+    EXPECT_EQ(reply[1].rfind("DONE 1 hits=1", 0), 0u) << reply[1];
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 20 replies";
+  server.stop();
+}
+
+/// A client that never sends a newline cannot grow the server's line
+/// buffer without bound: past the cap it gets ERR and a closed socket,
+/// and the server keeps serving other connections.
+TEST(SweepServer, OverlongRequestLineIsRefused) {
+  SweepService service(ServiceOptions{.workers = 1});
+  SweepServer server(service, 0);
+  TestClient client(server.port());
+
+  // Sent from a second thread: once the server stops reading, the tail
+  // of the 2 MiB may not fit in the socket buffers and send() blocks
+  // until the shutdown below.
+  const std::string line(2u << 20, 'x');
+  std::thread sender([&client, &line] {
+    std::size_t sent = 0;
+    while (sent < line.size()) {
+      const ssize_t n = ::send(client.fd(), line.data() + sent,
+                               line.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  EXPECT_EQ(client.read_line(), "ERR request line exceeds 1048576 bytes");
+  EXPECT_EQ(client.read_line(), "");  // the server closed the connection
+  ::shutdown(client.fd(), SHUT_RDWR);
+  sender.join();
+
+  TestClient other(server.port());
+  other.send_line("PING");
+  EXPECT_EQ(other.read_line(), "PONG");
   server.stop();
 }
 
